@@ -4,6 +4,7 @@
 use crate::proto::{read_frame, FrameError, Outcome, Request, Response, WireSpec};
 use ap_apps::RunReport;
 use ap_bench::runner::report_codec;
+use std::collections::VecDeque;
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -85,7 +86,7 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     /// `done` frames received while waiting for a direct reply.
-    pending_done: Vec<Response>,
+    pending_done: VecDeque<Response>,
 }
 
 impl Client {
@@ -93,7 +94,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer, pending_done: Vec::new() })
+        Ok(Client { reader: BufReader::new(stream), writer, pending_done: VecDeque::new() })
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
@@ -113,7 +114,7 @@ impl Client {
     fn read_direct_reply(&mut self) -> Result<Response, ClientError> {
         loop {
             match self.read_response()? {
-                done @ Response::Done { .. } => self.pending_done.push(done),
+                done @ Response::Done { .. } => self.pending_done.push_back(done),
                 Response::Error { message } => return Err(ClientError::Daemon(message)),
                 other => return Ok(other),
             }
@@ -122,8 +123,8 @@ impl Client {
 
     /// The next completion frame: a buffered one if present, else blocks.
     fn next_done(&mut self) -> Result<Response, ClientError> {
-        if !self.pending_done.is_empty() {
-            return Ok(self.pending_done.remove(0));
+        if let Some(done) = self.pending_done.pop_front() {
+            return Ok(done);
         }
         match self.read_response()? {
             done @ Response::Done { .. } => Ok(done),

@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Suggested client backoff when a queue-full submit is rejected.
 const BUSY_RETRY_MS: u64 = 200;
@@ -204,10 +204,23 @@ fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        set_nodelay(&stream, &daemon.registry);
         let daemon = daemon.clone();
         let _ = std::thread::Builder::new()
             .name("apd-conn".to_string())
             .spawn(move || serve_connection(stream, &daemon));
+    }
+}
+
+/// Turns off Nagle's algorithm on an accepted connection. The daemon often
+/// writes two small frames back to back (`accepted`, then `done` for a
+/// cache hit or a short job); with Nagle on, the kernel holds the second
+/// until the first is ACKed, and a client with nothing to send delays that
+/// ACK by its delayed-ACK timer (40 ms on Linux). A failure leaves the
+/// connection usable, only slower, so it is counted rather than fatal.
+fn set_nodelay(stream: &TcpStream, registry: &Registry) {
+    if stream.set_nodelay(true).is_err() {
+        registry.add("apd.socket_option_errors", 1);
     }
 }
 
@@ -317,6 +330,7 @@ fn serve_client(reader: &mut impl BufRead, stream: TcpStream, daemon: &Arc<Daemo
             }
         };
         daemon.registry.add("apd.requests", 1);
+        let started = Instant::now();
         match request {
             Request::Ping => writer.send(&Response::Pong),
             Request::Status => {
@@ -352,6 +366,7 @@ fn serve_client(reader: &mut impl BufRead, stream: TcpStream, daemon: &Arc<Daemo
                 return; // no retire: the drain already completed everything
             }
         }
+        daemon.registry.observe("apd.request_us", started.elapsed().as_micros() as u64);
     }
     // Client gone: cancel its queued jobs so they stop occupying the pool.
     daemon.service.retire_client(client);
@@ -652,4 +667,20 @@ fn render_jobs(daemon: &Daemon) -> String {
     let mut text = doc.to_json();
     text.push('\n');
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_have_nodelay_set() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let registry = Registry::new();
+        set_nodelay(&stream, &registry);
+        assert!(stream.nodelay().unwrap());
+        assert_eq!(registry.counter("apd.socket_option_errors"), 0);
+    }
 }

@@ -274,3 +274,40 @@ fn status_and_draining_rejection() {
         }
     }
 }
+
+/// A cache hit is answered with `accepted` and `done` written back to back.
+/// With Nagle's algorithm on the daemon's socket, the second frame waits
+/// for the client's delayed ACK of the first (40 ms on Linux), so every
+/// sequential hit took over 40 ms; with it off a hit is a local round trip.
+#[test]
+fn sequential_cache_hits_are_not_stalled_by_the_wire() {
+    let dir = temp_dir("nodelay");
+    let mut server = Server::start(DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: Some(1),
+        cache_dir: Some(dir.join("cache")),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let spec = WireSpec::point(App::Database, SystemKind::Conventional, 0.25);
+    client.submit(&spec, None, 0).unwrap();
+    assert!(!client.collect().unwrap().cache_hit, "the first run computes the point");
+
+    let mut trips_ms: Vec<f64> = (0..64)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.submit(&spec, None, 0).unwrap();
+            assert!(client.collect().unwrap().cache_hit);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    trips_ms.sort_by(f64::total_cmp);
+    let p90 = trips_ms[57];
+    assert!(p90 < 10.0, "p90 cache-hit round trip {p90:.2} ms; all: {trips_ms:?}");
+
+    let metrics = http_get(server.addr(), "/metrics").unwrap();
+    assert!(metrics.contains("apd_request_us_count"), "request histogram missing:\n{metrics}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
