@@ -20,14 +20,33 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
     c.bench_function("hierarchy_l1_hit_fastpath", |b| {
         let mut h = Hierarchy::new(HierarchyConfig::reference());
         // Warm a 4 KB hot set so every access in the loop takes the
-        // one-probe L1 hit path.
+        // one-probe L1 hit path, composed as the processor composes it.
         for w in 0..1024u64 {
             h.read(VAddr::new(0x1_0000 + w * 4));
         }
         let mut addr = 0u64;
         b.iter(|| {
             addr = (addr + 4) & 0xFFF;
-            black_box(h.read(VAddr::new(0x1_0000 + addr)))
+            let a = VAddr::new(0x1_0000 + addr);
+            black_box(if h.l1d_hit(a, false) { 1 } else { h.read(a) })
+        });
+    });
+    c.bench_function("cpu_load_store_funnel", |b| {
+        use radram::{ExecMode, RadramConfig, System};
+        // The conventional array-insert inner loop on the accurate tier:
+        // shift 4096 words up by one slot. The 16 KB array stays L1D
+        // resident, so after the first pass every access takes the fused
+        // load/store path from `System` down to the tag compare.
+        let mut sys = System::conventional_mode(RadramConfig::reference(), ExecMode::Accurate);
+        let n = 4096u64;
+        let base = sys.ram_alloc((n as usize + 1) * 4, 8);
+        b.iter(|| {
+            for i in (0..n).rev() {
+                let v = sys.load_u32(base + 4 * i);
+                sys.store_u32(base + 4 * (i + 1), v);
+                sys.alu(2);
+            }
+            black_box(sys.now())
         });
     });
     c.bench_function("hierarchy_strided_misses", |b| {

@@ -14,7 +14,7 @@ use ap_apps::{App, SystemKind};
 use ap_bench::runner::RunSpec;
 use ap_trace::phases::PhaseTotals;
 use ap_trace::session::{begin, finish, SessionConfig};
-use ap_trace::{chrome, set_filter, Filter};
+use ap_trace::{chrome, set_filter, Filter, Subsystem};
 use radram::RadramConfig;
 use std::sync::Mutex;
 
@@ -104,4 +104,33 @@ fn tracing_does_not_change_simulated_cycles() {
 
     assert_eq!(untraced, traced, "tracing perturbed the simulation");
     assert!(trace.all_events().count() > 0, "traced run collected no events");
+}
+
+#[test]
+fn traced_and_untraced_conventional_runs_agree_on_every_app() {
+    // Untraced, each cached access takes the processor's fused L1-hit
+    // path; with every subsystem traced it takes the full path (trace
+    // clock, hierarchy access, stall span). Both must produce the same
+    // report on every app.
+    let _guard = FILTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = RadramConfig::reference();
+    for app in App::ALL {
+        let spec = RunSpec::new(app, SystemKind::Conventional, 0.5, cfg.clone());
+
+        set_filter(Filter::NONE);
+        let untraced = spec.execute();
+
+        set_filter(Filter::ALL);
+        begin(SessionConfig::default());
+        let traced = spec.execute();
+        let trace = finish().expect("session active");
+        set_filter(Filter::NONE);
+
+        assert_eq!(untraced, traced, "{}: the fused path diverged from the full path", app.name());
+        assert!(
+            trace.count(Subsystem::Mem, "l1d.hit") > 0,
+            "{}: the traced run did not take the full path",
+            app.name()
+        );
+    }
 }

@@ -13,6 +13,21 @@ use ap_trace::Subsystem::Cpu as TRACE_CPU;
 const TRACE_CLOCK_USERS: ap_trace::Filter =
     ap_trace::Filter(TRACE_CPU.bit() | ap_trace::Subsystem::Mem.bit());
 
+/// Per-class operation counters. Every operation bumps exactly one of
+/// them, so the hot load/store path does one increment per access;
+/// [`CpuStats::instructions`] is derived as their sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpCounts {
+    /// Integer ALU, multiply and divide operations.
+    int_ops: u64,
+    loads: u64,
+    stores: u64,
+    branches: u64,
+    mispredicts: u64,
+    flops: u64,
+    mmx: u64,
+}
+
 /// Processor configuration (Table 1: 1 GHz reference clock).
 ///
 /// All latencies are in cycles. The reference floating-point unit is fully
@@ -90,16 +105,23 @@ impl Default for CpuConfig {
 /// let s = cpu.stats();
 /// assert_eq!((s.loads, s.stores), (1, 1));
 /// ```
+///
+/// Field order is fixed (`repr(C)`) so that the clock sits between two
+/// fields the hot paths only read. Every operation adds to `now` and to one
+/// counter; were the two adjacent, LLVM would fuse both additions into one
+/// 16-byte read-modify-write, whose load cannot be forwarded from the
+/// 8-byte store to `now` just before it, stalling every operation.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Cpu {
     /// The simulated memory contents (public: applications allocate and the
     /// RADram logic engine operates on page bytes held here).
     pub ram: SimRam,
     mem: MemBackend,
-    cfg: CpuConfig,
     now: u64,
+    cfg: CpuConfig,
     bpred: BranchPredictor,
-    stats: CpuStats,
+    ops: OpCounts,
     /// Access recorder for the race sanitizer; `None` (the default) keeps
     /// the cached load/store paths free of logging.
     tap: Option<AccessTap>,
@@ -123,7 +145,7 @@ impl Cpu {
             mem: MemBackend::new(cfg.hierarchy.clone(), mode),
             bpred: BranchPredictor::new(cfg.bpred_entries),
             now: 0,
-            stats: CpuStats::new(),
+            ops: OpCounts::default(),
             tap: None,
             cfg,
         }
@@ -169,29 +191,28 @@ impl Cpu {
     /// Executes `n` single-cycle integer operations.
     #[inline]
     pub fn alu(&mut self, n: u64) {
-        self.stats.instructions += n;
+        self.ops.int_ops += n;
         self.now += n * self.cfg.alu_latency;
     }
 
     /// Executes one integer multiply.
     #[inline]
     pub fn mul(&mut self) {
-        self.stats.instructions += 1;
+        self.ops.int_ops += 1;
         self.now += self.cfg.mul_latency;
     }
 
     /// Executes one integer divide.
     #[inline]
     pub fn div(&mut self) {
-        self.stats.instructions += 1;
+        self.ops.int_ops += 1;
         self.now += self.cfg.div_latency;
     }
 
     /// Executes `n` pipelined floating-point operations.
     #[inline]
     pub fn flop(&mut self, n: u64) {
-        self.stats.instructions += n;
-        self.stats.flops += n;
+        self.ops.flops += n;
         self.now += n * self.cfg.fp_latency;
     }
 
@@ -200,8 +221,7 @@ impl Cpu {
     /// so it can wrap a condition inline.
     #[inline]
     pub fn branch(&mut self, site: u32, taken: bool) -> bool {
-        self.stats.instructions += 1;
-        self.stats.branches += 1;
+        self.ops.branches += 1;
         self.now += self.cfg.alu_latency;
         if matches!(self.mem, MemBackend::Fast(_)) {
             // Fast tier: the predictor is not modeled (documented error
@@ -209,7 +229,7 @@ impl Cpu {
             return taken;
         }
         if !self.bpred.predict_and_train(site, taken) {
-            self.stats.mispredicts += 1;
+            self.ops.mispredicts += 1;
             ap_trace::instant(TRACE_CPU, "bpred.mispredict", self.now, site as u64, taken as u64);
             self.now += self.cfg.mispredict_penalty;
         }
@@ -219,8 +239,7 @@ impl Cpu {
     /// Executes one register-to-register MMX operation.
     #[inline]
     pub fn mmx(&mut self, op: MmxOp, a: u64, b: u64) -> u64 {
-        self.stats.instructions += 1;
-        self.stats.mmx_ops += 1;
+        self.ops.mmx += 1;
         self.now += self.cfg.alu_latency;
         op.apply(a, b)
     }
@@ -232,8 +251,7 @@ impl Cpu {
     /// is not modeled there.
     #[inline]
     pub fn branch_run(&mut self, n: u64) {
-        self.stats.instructions += n;
-        self.stats.branches += n;
+        self.ops.branches += n;
         self.now += n * self.cfg.alu_latency;
     }
 
@@ -244,8 +262,7 @@ impl Cpu {
     /// hierarchy, but callers normally branch on [`Self::mode`] and keep
     /// their per-word loops there.
     pub fn scan_heads(&mut self, base: VAddr, records: usize, stride: usize, words: u64) {
-        self.stats.instructions += words;
-        self.stats.loads += words;
+        self.ops.loads += words;
         match &mut self.mem {
             MemBackend::Fast(f) => self.now += f.scan_heads(base, records, stride, words),
             MemBackend::Accurate(h) => {
@@ -281,37 +298,57 @@ impl Cpu {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn charge_load(&mut self, addr: VAddr, len: u32) {
-        self.stats.instructions += 1;
-        self.stats.loads += 1;
+        self.ops.loads += 1;
+        self.charge_data(addr, len, false);
+    }
+
+    #[inline(always)]
+    fn charge_store(&mut self, addr: VAddr, len: u32) {
+        self.ops.stores += 1;
+        self.charge_data(addr, len, true);
+    }
+
+    /// Times one cached data access. The common case — no access tap, no
+    /// clock-consuming subsystem traced — is decided by one check: the fast
+    /// tier estimates inline, the accurate tier probes the L1D and on a hit
+    /// charges its latency and is done. Everything else (tap, tracing, an
+    /// L1D miss) goes through [`Self::charge_data_full`].
+    #[inline(always)]
+    fn charge_data(&mut self, addr: VAddr, len: u32, write: bool) {
+        if self.tap.is_none() && !ap_trace::enabled_any(TRACE_CLOCK_USERS) {
+            match &mut self.mem {
+                MemBackend::Accurate(h) => {
+                    if h.l1d_hit(addr, write) {
+                        self.now += self.cfg.hierarchy.l1d.hit_latency;
+                        return;
+                    }
+                }
+                MemBackend::Fast(f) => {
+                    self.now += f.access(addr, write);
+                    return;
+                }
+            }
+        }
+        self.charge_data_full(addr, len, write);
+    }
+
+    /// The full data-access path, in its fixed order: tap record, trace
+    /// clock, hierarchy access, stall span.
+    #[cold]
+    #[inline(never)]
+    fn charge_data_full(&mut self, addr: VAddr, len: u32, write: bool) {
         if let Some(tap) = &mut self.tap {
-            tap.record(addr.get(), len, false);
+            tap.record(addr.get(), len, write);
         }
         if let MemBackend::Fast(f) = &mut self.mem {
             // Fast tier: estimate and go — no trace clock, no stall spans.
-            self.now += f.access(addr, false);
+            self.now += f.access(addr, write);
             return;
         }
         self.publish_trace_clock();
-        let cost = self.mem.read(addr);
-        self.trace_mem_stall(addr, cost);
-        self.now += cost;
-    }
-
-    #[inline]
-    fn charge_store(&mut self, addr: VAddr, len: u32) {
-        self.stats.instructions += 1;
-        self.stats.stores += 1;
-        if let Some(tap) = &mut self.tap {
-            tap.record(addr.get(), len, true);
-        }
-        if let MemBackend::Fast(f) = &mut self.mem {
-            self.now += f.access(addr, true);
-            return;
-        }
-        self.publish_trace_clock();
-        let cost = self.mem.write(addr);
+        let cost = if write { self.mem.write(addr) } else { self.mem.read(addr) };
         self.trace_mem_stall(addr, cost);
         self.now += cost;
     }
@@ -408,11 +445,10 @@ impl Cpu {
     /// route accesses themselves pair this with a raw [`SimRam`] transfer.
     #[inline]
     pub fn charge_uncached_access(&mut self, store: bool) {
-        self.stats.instructions += 1;
         if store {
-            self.stats.stores += 1;
+            self.ops.stores += 1;
         } else {
-            self.stats.loads += 1;
+            self.ops.loads += 1;
         }
         if let MemBackend::Fast(f) = &mut self.mem {
             self.now += MemModel::uncached(&mut **f);
@@ -425,8 +461,7 @@ impl Cpu {
     /// Uncached 32-bit load (synchronization variables bypass the caches).
     #[inline]
     pub fn uncached_load_u32(&mut self, addr: VAddr) -> u32 {
-        self.stats.instructions += 1;
-        self.stats.loads += 1;
+        self.ops.loads += 1;
         if let MemBackend::Fast(f) = &mut self.mem {
             self.now += MemModel::uncached(&mut **f);
         } else {
@@ -439,8 +474,7 @@ impl Cpu {
     /// Uncached 32-bit store.
     #[inline]
     pub fn uncached_store_u32(&mut self, addr: VAddr, v: u32) {
-        self.stats.instructions += 1;
-        self.stats.stores += 1;
+        self.ops.stores += 1;
         if let MemBackend::Fast(f) = &mut self.mem {
             self.now += MemModel::uncached(&mut **f);
         } else {
@@ -460,10 +494,18 @@ impl Cpu {
     /// Statistics snapshot (includes the memory backend's counters and the
     /// current cycle count).
     pub fn stats(&self) -> CpuStats {
-        let mut s = self.stats.clone();
-        s.cycles = self.now;
-        s.mem = self.mem.stats();
-        s
+        let o = self.ops;
+        CpuStats {
+            cycles: self.now,
+            instructions: o.int_ops + o.loads + o.stores + o.branches + o.flops + o.mmx,
+            loads: o.loads,
+            stores: o.stores,
+            branches: o.branches,
+            mispredicts: o.mispredicts,
+            flops: o.flops,
+            mmx_ops: o.mmx,
+            mem: self.mem.stats(),
+        }
     }
 
     /// Borrows the accurate memory hierarchy when this processor runs on it
@@ -623,6 +665,44 @@ mod tests {
         let r = c.mmx(MmxOp::PXor, 0xF0F0, 0x0FF0);
         assert_eq!(r, 0xFF00);
         assert_eq!(c.stats().mmx_ops, 1);
+    }
+
+    #[test]
+    fn instructions_are_the_sum_of_the_op_classes() {
+        for mode in ExecMode::ALL {
+            let mut c = Cpu::with_mode(CpuConfig::reference(), 1 << 20, mode);
+            let a = c.ram.alloc(256, 64);
+            c.alu(5);
+            c.mul();
+            c.div();
+            c.flop(3);
+            c.branch(1, true);
+            c.branch_run(4);
+            c.mmx(MmxOp::PXor, 1, 2);
+            c.store_u32(a, 1);
+            c.load_u32(a);
+            c.load_u64(a + 8);
+            c.uncached_store_u32(a + 64, 2);
+            c.uncached_load_u32(a + 64);
+            c.charge_uncached_access(true);
+            c.scan_heads(a, 2, 64, 6);
+            // Neither a fetch nor a stall is an instruction.
+            c.charge_fetch(VAddr::new(0x10_0000));
+            c.advance(10);
+            let s = c.stats();
+            assert_eq!(
+                (s.loads, s.stores, s.branches, s.flops, s.mmx_ops),
+                (9, 3, 5, 3, 1),
+                "{mode}"
+            );
+            let int_ops = 5 + 1 + 1;
+            assert_eq!(
+                s.instructions,
+                int_ops + s.loads + s.stores + s.branches + s.flops + s.mmx_ops,
+                "{mode}"
+            );
+            assert_eq!(s.instructions, 28, "{mode}");
+        }
     }
 
     #[test]

@@ -19,7 +19,11 @@ use std::fmt;
 pub struct CpuStats {
     /// Total elapsed cycles (the clock).
     pub cycles: u64,
-    /// Instructions executed.
+    /// Instructions executed. The processor counts each operation once,
+    /// in its class, and derives this total as the sum of integer
+    /// (ALU, multiply, divide) operations — which have no field of their
+    /// own — plus `loads`, `stores`, `branches`, `flops` and `mmx_ops`.
+    /// Instruction fetches and stall cycles add nothing.
     pub instructions: u64,
     /// Data loads.
     pub loads: u64,

@@ -104,10 +104,18 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     line_shift: u32,
+    /// `log2(sets)`: a block number shifted right by this is its tag.
+    set_shift: u32,
     set_mask: u64,
     lines: Vec<Line>,
     tick: u64,
     stats: CacheStats,
+    /// Most-recent-line memo of [`Cache::probe_hit`]: the block it last hit
+    /// and that line's index in `lines`. Only a hint — every use re-checks
+    /// the line's `valid` bit and tag, so invalidation, flushes and
+    /// evictions need not update it.
+    last_block: u64,
+    last_idx: usize,
     /// Valid-line count per `1 << REGION_SHIFT` byte address region, grown
     /// on demand. Kept exact by the fill/evict/invalidate paths; lets
     /// `invalidate_range` prove "nothing resident" without walking lines.
@@ -134,13 +142,20 @@ impl Cache {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         let line_shift = cfg.line.trailing_zeros();
+        let set_mask = sets as u64 - 1;
         Cache {
             sets,
             line_shift,
-            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
+            set_mask,
             lines: vec![Line::default(); sets * cfg.assoc],
             tick: 0,
             stats: CacheStats::new(cfg.name),
+            // A block no address maps to in practice. Block `u64::MAX` lies
+            // in the last set, and so does the index, which keeps the memo
+            // sound even if one did.
+            last_block: u64::MAX,
+            last_idx: set_mask as usize * cfg.assoc,
             resident: Vec::new(),
             cfg,
         }
@@ -180,7 +195,7 @@ impl Cache {
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.line_shift;
-        ((block & self.set_mask) as usize, block >> self.sets.trailing_zeros())
+        ((block & self.set_mask) as usize, block >> self.set_shift)
     }
 
     /// Performs a read (`write == false`) or write (`write == true`) access.
@@ -200,7 +215,8 @@ impl Cache {
             if line.valid && line.tag == tag {
                 line.stamp = self.tick;
                 line.dirty |= write;
-                self.stats.record(true, write, false);
+                self.stats.hits += 1;
+                self.stats.writes += write as u64;
                 return AccessOutcome { hit: true, writeback: None };
             }
         }
@@ -220,7 +236,7 @@ impl Cache {
         }
         let line = &mut ways[victim];
         let evicted = if line.valid {
-            let victim_block = (line.tag << self.sets.trailing_zeros()) | set as u64;
+            let victim_block = (line.tag << self.set_shift) | set as u64;
             Some((victim_block << self.line_shift, line.dirty))
         } else {
             None
@@ -234,11 +250,11 @@ impl Cache {
         }
         self.region_fill(addr.get());
         let writeback = evicted.and_then(|(a, dirty)| dirty.then_some(VAddr::new(a)));
-        self.stats.record(false, write, writeback.is_some());
+        self.stats.record_miss(write, writeback.is_some());
         AccessOutcome { hit: false, writeback }
     }
 
-    /// One-probe hit check for the hierarchy's hot path.
+    /// One-probe hit check for the processor's L1 hot path.
     ///
     /// On a hit this performs *exactly* the bookkeeping [`Cache::access`]
     /// would (tick advance, LRU stamp, dirty bit, hit statistics) and
@@ -246,20 +262,31 @@ impl Cache {
     /// so the caller can fall back to the full `access` path, which then
     /// performs the single canonical state update. This keeps fast-path and
     /// slow-path runs bit-identical in stats and replacement order.
+    ///
+    /// A repeat hit on the most recently probed line skips the way scan:
+    /// the memoized line is re-verified (`valid` and tag) on every use, so
+    /// it can never report a line that is no longer resident.
     #[inline(always)]
     pub fn probe_hit(&mut self, addr: VAddr, write: bool) -> bool {
-        let (set, tag) = self.index(addr.get());
-        let base = set * self.cfg.assoc;
-        for line in &mut self.lines[base..base + self.cfg.assoc] {
-            if line.valid && line.tag == tag {
-                self.tick += 1;
-                line.stamp = self.tick;
-                line.dirty |= write;
-                self.stats.record(true, write, false);
-                return true;
-            }
+        let block = addr.get() >> self.line_shift;
+        let tag = block >> self.set_shift;
+        let memo = &self.lines[self.last_idx];
+        if block != self.last_block || !(memo.valid && memo.tag == tag) {
+            let base = (block & self.set_mask) as usize * self.cfg.assoc;
+            let ways = &self.lines[base..base + self.cfg.assoc];
+            let Some(way) = ways.iter().position(|l| l.valid && l.tag == tag) else {
+                return false;
+            };
+            self.last_block = block;
+            self.last_idx = base + way;
         }
-        false
+        self.tick += 1;
+        let line = &mut self.lines[self.last_idx];
+        line.stamp = self.tick;
+        line.dirty |= write;
+        self.stats.hits += 1;
+        self.stats.writes += write as u64;
+        true
     }
 
     /// Returns true if the line containing `addr` is resident.
@@ -289,7 +316,6 @@ impl Cache {
             return 0;
         }
         let mut dropped = 0;
-        let set_bits = self.sets.trailing_zeros();
         for set in 0..self.sets {
             let base = set * self.cfg.assoc;
             for way in 0..self.cfg.assoc {
@@ -297,7 +323,7 @@ impl Cache {
                 if !line.valid {
                     continue;
                 }
-                let block = (line.tag << set_bits) | set as u64;
+                let block = (line.tag << self.set_shift) | set as u64;
                 let addr = block << self.line_shift;
                 if addr >= lo && addr < hi {
                     line.valid = false;
@@ -507,6 +533,56 @@ mod tests {
         assert_eq!(fast.stats().misses, slow.stats().misses);
         assert_eq!(fast.stats().writes, slow.stats().writes);
         assert_eq!(fast.tick, slow.tick);
+    }
+
+    #[test]
+    fn probe_then_access_matches_access_only_on_random_streams() {
+        // The processor's hot path is probe_hit-then-access; the full path
+        // is access alone. Over seeded random read/write streams with range
+        // invalidations and flushes mixed in — the events that can leave
+        // the probe's most-recent-line memo pointing at a line no longer
+        // resident — both must agree on every outcome, every counter, the
+        // LRU clock and residency after every step.
+        let mut fast = small();
+        let mut slow = small();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // 512 bytes: 32 lines over 4 sets of 2 ways, so most blocks
+            // conflict and evictions are frequent.
+            let addr = VAddr::new((x >> 8) % 512);
+            match x % 64 {
+                0 => {
+                    let len = (x >> 20) % 96;
+                    assert_eq!(
+                        fast.invalidate_range(addr, len),
+                        slow.invalidate_range(addr, len),
+                        "step {step}: invalidate_range diverged"
+                    );
+                }
+                1 => {
+                    fast.flush();
+                    slow.flush();
+                }
+                _ => {
+                    let write = x & (1 << 40) != 0;
+                    let got = if fast.probe_hit(addr, write) {
+                        AccessOutcome { hit: true, writeback: None }
+                    } else {
+                        fast.access(addr, write)
+                    };
+                    assert_eq!(got, slow.access(addr, write), "step {step}: {addr:?} diverged");
+                }
+            }
+            assert_eq!(fast.stats(), slow.stats(), "step {step}: stats diverged");
+            assert_eq!(fast.tick, slow.tick, "step {step}: LRU clock diverged");
+            for line in 0..32 {
+                let a = VAddr::new(line * 16);
+                assert_eq!(fast.contains(a), slow.contains(a), "step {step}: residency of {a:?}");
+            }
+        }
     }
 
     #[test]

@@ -181,29 +181,29 @@ impl Hierarchy {
         cycles
     }
 
-    /// Data load; returns cycle cost.
-    ///
-    /// Hot path: when the `mem` subsystem is untraced and the line is L1D
-    /// resident, a single probe does the whole access — no L2/DRAM calls, no
-    /// stall accounting (an L1 hit contributes zero stall cycles), no trace
-    /// emission. The probe commits the exact bookkeeping the full path
-    /// would, so stats and replacement state stay bit-identical.
+    /// Data load; returns cycle cost. Always the full path: L1D, then L2
+    /// and DRAM on a miss, stall accounting and `mem` trace events.
     #[inline]
     pub fn read(&mut self, addr: VAddr) -> u64 {
-        if !ap_trace::enabled(TRACE_MEM) && self.l1d.probe_hit(addr, false) {
-            return self.cfg.l1d.hit_latency;
-        }
         self.data_access(addr, false)
     }
 
-    /// Data store; returns cycle cost. Same L1D hit fast path as
-    /// [`Self::read`].
+    /// Data store; returns cycle cost. Same full path as [`Self::read`].
     #[inline]
     pub fn write(&mut self, addr: VAddr) -> u64 {
-        if !ap_trace::enabled(TRACE_MEM) && self.l1d.probe_hit(addr, true) {
-            return self.cfg.l1d.hit_latency;
-        }
         self.data_access(addr, true)
+    }
+
+    /// The L1D hit fast path: `true` when the line is resident, in which
+    /// case the access is complete and costs `l1d.hit_latency` cycles. It
+    /// commits exactly the bookkeeping [`Self::read`]/[`Self::write`] would
+    /// for that hit (an L1 hit adds no stall cycles), so stats and
+    /// replacement state stay bit-identical. On `false` nothing changed and
+    /// the caller takes the full path. Emits no `mem` trace events: callers
+    /// use it only while that subsystem is untraced.
+    #[inline(always)]
+    pub fn l1d_hit(&mut self, addr: VAddr, write: bool) -> bool {
+        self.l1d.probe_hit(addr, write)
     }
 
     /// Instruction fetch; returns cycle cost.
@@ -331,12 +331,14 @@ mod tests {
     fn fast_path_hit_skips_slow_machinery_but_keeps_costs() {
         let mut h = Hierarchy::new(HierarchyConfig::reference());
         let a = VAddr::new(0x2000);
+        assert!(!h.l1d_hit(a, false), "cold line: the fast path declines");
+        assert_eq!(h.stats().l1d.accesses(), 0, "a declined probe counts nothing");
         let miss = h.read(a);
         assert_eq!(miss, 1 + 10 + 50 + 16 * 10);
-        // Resident line: the fast path answers at L1 hit latency and the
-        // books match the full path exactly.
-        assert_eq!(h.read(a), 1);
-        assert_eq!(h.write(a), 1);
+        // Resident line: the fast path answers and the books match the
+        // full path exactly.
+        assert!(h.l1d_hit(a, false));
+        assert!(h.l1d_hit(a, true));
         let s = h.stats();
         assert_eq!(s.l1d.hits, 2);
         assert_eq!(s.l1d.misses, 1);

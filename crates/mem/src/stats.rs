@@ -35,20 +35,13 @@ impl CacheStats {
         CacheStats { name, hits: 0, misses: 0, writes: 0, writebacks: 0, invalidated: 0 }
     }
 
-    /// Records one access outcome.
+    /// Records one missing access (hits are counted in place, on the hot
+    /// path).
     #[inline]
-    pub(crate) fn record(&mut self, hit: bool, write: bool, writeback: bool) {
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        if write {
-            self.writes += 1;
-        }
-        if writeback {
-            self.writebacks += 1;
-        }
+    pub(crate) fn record_miss(&mut self, write: bool, writeback: bool) {
+        self.misses += 1;
+        self.writes += write as u64;
+        self.writebacks += writeback as u64;
     }
 
     /// Total accesses (hits plus misses).
@@ -139,8 +132,8 @@ mod tests {
     #[test]
     fn record_and_rates() {
         let mut s = CacheStats::new("T");
-        s.record(true, false, false);
-        s.record(false, true, true);
+        s.hits += 1;
+        s.record_miss(true, true);
         assert_eq!(s.accesses(), 2);
         assert_eq!(s.writes, 1);
         assert_eq!(s.writebacks, 1);

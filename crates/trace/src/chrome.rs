@@ -249,6 +249,7 @@ mod tests {
 
     #[test]
     fn export_parse_round_trip() {
+        let _filter = crate::lock_filter();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         complete(Subsystem::Radram, "page.run", 100, 80, 3, 0);
@@ -273,6 +274,7 @@ mod tests {
 
     #[test]
     fn truncated_rings_export_a_marker() {
+        let _filter = crate::lock_filter();
         set_filter(Filter::ALL);
         begin(SessionConfig { ring_capacity: 2, ..SessionConfig::default() });
         for i in 0..5 {

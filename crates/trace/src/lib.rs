@@ -196,6 +196,15 @@ pub fn filter() -> Filter {
     Filter(FILTER.load(Ordering::Relaxed))
 }
 
+/// Serializes the unit tests that set the process-global filter: the test
+/// harness runs tests on parallel threads, and one test's filter would
+/// otherwise silence another's emissions.
+#[cfg(test)]
+pub(crate) fn lock_filter() -> std::sync::MutexGuard<'static, ()> {
+    static FILTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    FILTER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// True when `sub` is traced. This is the hot-path gate: one relaxed atomic
 /// load and a mask test, nothing else, so instrumented code pays (far) below
 /// measurement noise when tracing is off.
